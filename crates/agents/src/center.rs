@@ -36,6 +36,7 @@
 //! with its bills, recovery can never re-settle a day or double-bill.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Duration;
 
 use enki_core::household::{HouseholdId, Preference, Report};
@@ -43,12 +44,13 @@ use enki_core::load::LoadProfile;
 use enki_core::mechanism::{AllocationOutcome, Assignment, Enki, Settlement};
 use enki_core::time::Interval;
 use enki_core::validation::{RawPreference, RawReport};
+use enki_serve::snapshot;
 use enki_solver::prelude::{AllocationProblem, AnytimePipeline};
 use enki_telemetry::trace::{stage, TraceContext};
 use enki_telemetry::{Recorder, VirtualClock};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::message::{Envelope, Message, NodeId, Tick};
 
@@ -280,11 +282,31 @@ struct DayInProgress {
 /// household's last submission verbatim — NaN and all — which is why
 /// durable serialization uses the bit-exact snapshot codec rather
 /// than JSON.
+///
+/// A checkpoint is cheap to take and to clone: the settled-day
+/// history is shared, not copied, and only ever grows by appending.
+///
+/// The journal relies on that (see [`crate::durable`] for the record
+/// kinds and layouts). It logs a commit as a `REC_CENTER` record: the
+/// live state plus the records settled since the record's *base*, the
+/// latest compaction (`REC_COMPACT`, which holds the whole history and
+/// is written twice, so one rotted copy never orphans the records
+/// relative to it). So a commit writes at most the days settled
+/// within the last `compact_every` appends, never the whole season.
+/// A checkpoint continues the logged history when its record at the
+/// last logged index encodes to the bytes the journal logged there;
+/// any other checkpoint is logged *full* — with no base, carrying its
+/// whole history — as is every center record before the first
+/// compaction and, until the next one, after a failed write. On
+/// replay, a record whose base is gone (removed by a compaction a
+/// crash interrupted, or both copies rotted) is *superseded* and
+/// skipped, not corrupt; only a checksummed record that does not
+/// decode is corrupt and fails the recovery audit.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CenterCheckpoint {
     next_day: u64,
     rng_state: [u64; 4],
-    records: Vec<DayRecord>,
+    records: History,
     current: Option<DayInProgress>,
     /// The center's standing model of each household's demand: the last
     /// preference admission accepted (or clamped) from it. Used as the
@@ -301,13 +323,92 @@ impl CenterCheckpoint {
     /// post-recovery audit verifies against the mechanism invariants.
     #[must_use]
     pub fn records(&self) -> &[DayRecord] {
-        &self.records
+        &self.records.0
     }
 
     /// The day the restored center will run next.
     #[must_use]
     pub fn next_day(&self) -> u64 {
         self.next_day
+    }
+
+    /// The checkpoint minus its settled records — everything a commit
+    /// changes — in the bit-exact snapshot encoding.
+    pub(crate) fn encode_live(&self) -> Vec<u8> {
+        snapshot::encode(&LiveView(self))
+    }
+
+    /// Reassembles a checkpoint from a decoded live state and its
+    /// settled records.
+    pub(crate) fn from_parts(live: LiveState, records: Vec<DayRecord>) -> Self {
+        Self {
+            next_day: live.next_day,
+            rng_state: live.rng_state,
+            records: History(Arc::new(records)),
+            current: live.current,
+            profiles: live.profiles,
+            last_raw: live.last_raw,
+        }
+    }
+}
+
+/// A checkpoint's settled-day records, shared copy-on-write between
+/// the center and the checkpoints it hands out. The center appends in
+/// place as long as no handed-out checkpoint still holds the records.
+/// Serializes as the plain record list.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct History(Arc<Vec<DayRecord>>);
+
+impl History {
+    fn push(&mut self, record: DayRecord) {
+        Arc::make_mut(&mut self.0).push(record);
+    }
+}
+
+impl Serialize for History {
+    fn serialize_value(&self) -> Value {
+        self.0.serialize_value()
+    }
+}
+
+impl Deserialize for History {
+    fn deserialize_value(value: &Value) -> Result<Self, serde::Error> {
+        Ok(Self(Arc::new(Vec::deserialize_value(value)?)))
+    }
+}
+
+/// Borrowed view of a checkpoint's live state, serialized with the same
+/// field names as the checkpoint itself (minus `records`).
+struct LiveView<'a>(&'a CenterCheckpoint);
+
+impl Serialize for LiveView<'_> {
+    fn serialize_value(&self) -> Value {
+        let c = self.0;
+        Value::Object(vec![
+            ("next_day".to_string(), c.next_day.serialize_value()),
+            ("rng_state".to_string(), c.rng_state.serialize_value()),
+            ("current".to_string(), c.current.serialize_value()),
+            ("profiles".to_string(), c.profiles.serialize_value()),
+            ("last_raw".to_string(), c.last_raw.serialize_value()),
+        ])
+    }
+}
+
+/// A checkpoint's live state, decoded from a
+/// [`CenterCheckpoint::encode_live`] image.
+#[derive(Deserialize)]
+pub(crate) struct LiveState {
+    next_day: u64,
+    rng_state: [u64; 4],
+    current: Option<DayInProgress>,
+    profiles: BTreeMap<HouseholdId, Preference>,
+    last_raw: BTreeMap<HouseholdId, RawPreference>,
+}
+
+impl LiveState {
+    /// Decodes a live-state image; `None` when it is malformed.
+    pub(crate) fn decode(bytes: &[u8]) -> Option<Self> {
+        snapshot::decode(bytes)
     }
 }
 
@@ -324,9 +425,10 @@ pub struct CenterAgent {
     rng: StdRng,
     next_day: u64,
     current: Option<DayInProgress>,
-    records: Vec<DayRecord>,
     profiles: BTreeMap<HouseholdId, Preference>,
     last_raw: BTreeMap<HouseholdId, RawPreference>,
+    /// The last commit. Its history doubles as the live record list:
+    /// records are only ever appended right before a commit.
     durable: CenterCheckpoint,
     /// Monotone count of phase-boundary commits over the agent's
     /// lifetime (not protocol state: survives crashes, not persisted).
@@ -357,7 +459,7 @@ impl CenterAgent {
         let durable = CenterCheckpoint {
             next_day: 0,
             rng_state: rng.state(),
-            records: Vec::new(),
+            records: History::default(),
             current: None,
             profiles: BTreeMap::new(),
             last_raw: BTreeMap::new(),
@@ -369,7 +471,6 @@ impl CenterAgent {
             rng,
             next_day: 0,
             current: None,
-            records: Vec::new(),
             profiles: BTreeMap::new(),
             last_raw: BTreeMap::new(),
             durable,
@@ -419,7 +520,6 @@ impl CenterAgent {
             rng: StdRng::from_state(checkpoint.rng_state),
             next_day: checkpoint.next_day,
             current: checkpoint.current.clone(),
-            records: checkpoint.records.clone(),
             profiles: checkpoint.profiles.clone(),
             last_raw: checkpoint.last_raw.clone(),
             durable: checkpoint,
@@ -464,10 +564,14 @@ impl CenterAgent {
         &self.roster
     }
 
-    /// Settled day records so far.
+    /// Settled day records so far (none while crashed).
     #[must_use]
     pub fn records(&self) -> &[DayRecord] {
-        &self.records
+        if self.down {
+            &[]
+        } else {
+            self.durable.records()
+        }
     }
 
     /// The last committed checkpoint, by reference — for inspection.
@@ -481,7 +585,9 @@ impl CenterAgent {
     /// An owned copy of the last committed checkpoint: the one
     /// snapshot API both persistence ([`crate::durable::Journal`])
     /// and recovery paths share, so "what gets written" and "what
-    /// gets restored" can never drift apart.
+    /// gets restored" can never drift apart. The settled records are
+    /// shared, not copied; drop the snapshot before the next
+    /// settlement, or that settlement copies the history once.
     #[must_use]
     pub fn snapshot(&self) -> CenterCheckpoint {
         self.durable.clone()
@@ -505,15 +611,19 @@ impl CenterAgent {
     /// Commits the current in-memory state as the durable checkpoint.
     /// Called at phase boundaries only.
     fn commit(&mut self) {
-        self.durable = CenterCheckpoint {
-            next_day: self.next_day,
-            rng_state: self.rng.state(),
-            records: self.records.clone(),
-            current: self.current.clone(),
-            profiles: self.profiles.clone(),
-            last_raw: self.last_raw.clone(),
-        };
+        let durable = &mut self.durable;
+        durable.next_day = self.next_day;
+        durable.rng_state = self.rng.state();
+        durable.current.clone_from(&self.current);
+        durable.profiles.clone_from(&self.profiles);
+        durable.last_raw.clone_from(&self.last_raw);
         self.commit_seq += 1;
+    }
+
+    /// Appends a closed day's record to the history. Always followed
+    /// by [`CenterAgent::commit`] in the same tick.
+    fn record_day(&mut self, record: DayRecord) {
+        self.durable.records.push(record);
     }
 
     /// Simulates a process crash: all in-memory protocol state is wiped.
@@ -521,7 +631,6 @@ impl CenterAgent {
     pub fn crash(&mut self) {
         self.down = true;
         self.current = None;
-        self.records = Vec::new();
         self.profiles = BTreeMap::new();
         self.last_raw = BTreeMap::new();
         self.next_day = 0;
@@ -544,7 +653,6 @@ impl CenterAgent {
         self.down = false;
         self.next_day = checkpoint.next_day;
         self.rng = StdRng::from_state(checkpoint.rng_state);
-        self.records = checkpoint.records.clone();
         self.current = checkpoint.current.clone();
         self.profiles = checkpoint.profiles.clone();
         self.last_raw = checkpoint.last_raw.clone();
@@ -642,7 +750,7 @@ impl CenterAgent {
         if self.current.is_none() && now / self.plan.day_length.max(1) >= self.next_day {
             let day = self.next_day;
             debug_assert!(
-                self.records.iter().all(|r| r.day != day),
+                self.durable.records().iter().all(|r| r.day != day),
                 "a recorded day must never restart"
             );
             self.next_day += 1;
@@ -777,7 +885,7 @@ impl CenterAgent {
                     clamped: std::mem::take(&mut current.clamped),
                     settlement: None,
                 };
-                self.records.push(record);
+                self.record_day(record);
                 self.current = None;
                 self.commit();
                 if let Some(r) = self.recorder.as_ref() {
@@ -858,7 +966,7 @@ impl CenterAgent {
                         clamped: std::mem::take(&mut current.clamped),
                         settlement: None,
                     };
-                    self.records.push(record);
+                    self.record_day(record);
                     self.current = None;
                     self.commit();
                     if let Some(r) = self.recorder.as_ref() {
@@ -900,7 +1008,7 @@ impl CenterAgent {
                 // by construction) closes the day unbilled rather than
                 // taking the center down.
                 let settlement = self.enki.settle(&reports, &outcome, &consumption).ok();
-                self.records.push(DayRecord {
+                self.record_day(DayRecord {
                     day,
                     participants,
                     missing_reports,
@@ -918,7 +1026,8 @@ impl CenterAgent {
                     r.incr("center.day.settled", 1);
                     r.incr(
                         "center.readings.missing",
-                        self.records
+                        self.durable
+                            .records()
                             .last()
                             .map_or(0, |rec| rec.missing_readings.len() as u64),
                     );
@@ -927,7 +1036,7 @@ impl CenterAgent {
                     }
                     // One point span per settled household at the
                     // `settle` stage of its report's causal chain.
-                    if let Some(rec) = self.records.last() {
+                    if let Some(rec) = self.durable.records().last() {
                         for &h in &rec.participants {
                             let ctx = TraceContext::report_stage(
                                 self.trace_seed,

@@ -6,7 +6,9 @@
 //! checkpoint reduction + the mandatory oracle audit) is timed
 //! repeatedly on the finished log. One row per log length, best of
 //! [`REPS`] timings, so the sweep shows how recovery cost scales with
-//! history — compaction should keep it near-flat.
+//! history. It grows with the season: replay decodes the latest
+//! compaction, which holds every settled day. The center records on
+//! top of it carry only the days since that compaction.
 //!
 //! **Crash-point matrix.** The rehearsal run's storage-operation log
 //! seeds one scenario per operation: a plain crash at every op, a torn

@@ -133,6 +133,8 @@ pub mod durable {
     pub const QUARANTINED: &str = "durable.quarantined";
     /// Records that failed to decode.
     pub const UNDECODABLE: &str = "durable.undecodable";
+    /// Center records whose base was no longer in the log.
+    pub const SUPERSEDED: &str = "durable.superseded";
     /// Torn tails truncated.
     pub const TORN_TRUNCATED: &str = "durable.torn_truncated";
 }
@@ -224,6 +226,7 @@ pub const REGISTERED: &[&str] = &[
     durable::REPLAYED,
     durable::QUARANTINED,
     durable::UNDECODABLE,
+    durable::SUPERSEDED,
     durable::TORN_TRUNCATED,
     solve::RUNG_EXACT,
     solve::RUNG_LOCAL_SEARCH,
