@@ -19,12 +19,15 @@
 //! `--gate` switches to regression-check mode: instead of overwriting
 //! the committed baseline, the fresh run is compared against it and the
 //! process exits nonzero if any N ≤ 256 row fails to answer from a
-//! proven exact solve, or if single-thread wall time at N = 256
+//! proven exact solve, if the single-thread N = 256 row expands more
+//! search nodes than the committed row (node counts are deterministic,
+//! so this gate is exact), or if single-thread wall time at N = 256
 //! regressed by more than 25% (with an absolute jitter floor).
 //!
-//! `--profile` additionally prints per-phase timings of the parallel
-//! exact rung (enumerate / speculate / validate / bound) for each cell
-//! that ran the speculative driver.
+//! `--profile` additionally prints per-phase timings of the exact rung
+//! for each cell: its preparation (local-search incumbent, classes +
+//! tables, price solve), the tree search, and — where the speculative
+//! driver ran — the search's enumerate / speculate / validate split.
 
 #![deny(unsafe_code)]
 
@@ -32,14 +35,9 @@ use std::fs;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use enki_bench::{experiments_dir, print_table, RunArgs};
-use enki_core::config::EnkiConfig;
-use enki_core::household::{HouseholdId, Report};
-use enki_sim::profile::{ProfileConfig, UsageProfile};
+use enki_bench::{bench_instance, experiments_dir, print_table, RunArgs};
 use enki_solver::prelude::*;
 use enki_telemetry::{Clock, MonotonicClock, Telemetry};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 /// Node budget for the exact rung. The deadline is `Duration::MAX`, so
@@ -111,22 +109,6 @@ struct ParallelRecord {
     rows: Vec<ParallelRow>,
 }
 
-/// A seeded day-sized instance: wide truthful reports, as in §VI-A.
-fn instance(n: usize, seed: u64) -> enki_core::Result<AllocationProblem> {
-    let mut rng = StdRng::seed_from_u64(seed ^ (n as u64) << 20);
-    let profile = ProfileConfig::default();
-    let reports: Vec<Report> = (0..n)
-        .map(|i| {
-            let p = UsageProfile::generate(&mut rng, &profile);
-            Report::new(HouseholdId::new(i as u32), p.wide())
-        })
-        .collect();
-    AllocationProblem::from_config(
-        reports.iter().map(|r| r.preference).collect(),
-        &EnkiConfig::default(),
-    )
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = RunArgs::from_env();
     let gate = std::env::args().skip(1).any(|a| a == "--gate");
@@ -142,7 +124,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rows: Vec<ParallelRow> = Vec::new();
     let mut divergences = 0usize;
     for &n in &populations {
-        let problem = instance(n, args.seed)?;
+        let problem = bench_instance(n, args.seed)?;
         let mut sequential: Option<(f64, SolveOutcome)> = None;
         for &threads in &thread_budgets {
             let pipeline = AnytimePipeline::new()
@@ -187,13 +169,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             if profile {
                 if let Some(p) = &stats.profile {
                     let ms = |ns: u64| Duration::from_nanos(ns).as_secs_f64() * 1e3;
+                    let split = if stats.tasks > 0 {
+                        format!(
+                            " (enumerate={:.2} speculate={:.2} validate={:.2})",
+                            ms(p.enumerate_ns),
+                            ms(p.speculate_ns),
+                            ms(p.validate_ns),
+                        )
+                    } else {
+                        String::new()
+                    };
                     eprintln!(
-                        "profile: n={n} threads={threads} enumerate={:.2} ms \
-                         speculate={:.2} ms validate={:.2} ms bound={:.2} ms \
-                         bound_evals={} bound_cache_hits={}",
-                        ms(p.enumerate_ns),
-                        ms(p.speculate_ns),
-                        ms(p.validate_ns),
+                        "profile: n={n} threads={threads} incumbent={:.2} ms \
+                         tables={:.2} ms prices={:.2} ms search={:.2} ms{split} \
+                         bound={:.2} ms bound_evals={} bound_cache_hits={}",
+                        ms(p.incumbent_ns),
+                        ms(p.tables_ns),
+                        ms(p.prices_ns),
+                        ms(p.search_ns),
                         ms(p.bound_ns),
                         p.bound_evals,
                         p.bound_cache_hits,
@@ -265,7 +258,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         //    these instances inside the node budget, and silently
         //    degrading back to `local_search` is the regression this
         //    gate exists to catch.
-        // 2. The single-thread N = 256 wall time must stay within the
+        // 2. The single-thread N = 256 row may not expand more nodes than
+        //    the committed row: node counts are a pure function of the
+        //    instance, so this check has no jitter and only tightens as
+        //    regenerated baselines record smaller trees.
+        // 3. The single-thread N = 256 wall time must stay within the
         //    committed baseline × GATE_FACTOR (plus an absolute floor so
         //    sub-100 ms scheduler jitter cannot fail CI).
         for row in record.rows.iter().filter(|r| r.n <= 256) {
@@ -285,11 +282,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .rows
                 .iter()
                 .find(|r| r.n == 256 && r.threads == 1)
-                .map(|r| r.wall_ms)
+                .map(|r| (r.wall_ms, r.nodes))
         };
-        let (Some(base), Some(fresh)) = (pick(&committed), pick(&record)) else {
+        let (Some((base, base_nodes)), Some((fresh, fresh_nodes))) =
+            (pick(&committed), pick(&record))
+        else {
             return Err("gate rows (n=256, threads=1) missing from baseline or fresh run".into());
         };
+        eprintln!("gate: n=256 threads=1 fresh {fresh_nodes} nodes vs committed {base_nodes}");
+        if fresh_nodes > base_nodes {
+            return Err(format!(
+                "search regression: single-thread N=256 expanded {fresh_nodes} nodes, \
+                 more than the committed {base_nodes}"
+            )
+            .into());
+        }
         let limit = (base * GATE_FACTOR).max(base + GATE_FLOOR_MS);
         eprintln!(
             "gate: n=256 threads=1 fresh {fresh:.1} ms vs committed {base:.1} ms (limit {limit:.1} ms)"

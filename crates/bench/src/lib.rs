@@ -38,7 +38,12 @@ use std::fs;
 use std::path::PathBuf;
 use std::time::Duration;
 
+use enki_core::config::EnkiConfig;
 use enki_sim::prelude::{run_social_welfare, SocialWelfareConfig, SocialWelfareRow};
+use enki_sim::profile::{ProfileConfig, UsageProfile};
+use enki_solver::prelude::AllocationProblem;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 
@@ -192,6 +197,23 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     for row in rows {
         line(row.clone());
     }
+}
+
+/// The seeded day-sized solve instance of `bench_parallel`: `n` wide
+/// truthful §VI-A usage-profile reports under the default configuration.
+///
+/// # Errors
+///
+/// Propagates [`AllocationProblem::from_config`] errors (none occur for
+/// generated profiles).
+#[must_use = "dropping the Result discards the instance and hides a construction error"]
+pub fn bench_instance(n: usize, seed: u64) -> enki_core::Result<AllocationProblem> {
+    let mut rng = StdRng::seed_from_u64(seed ^ (n as u64) << 20);
+    let profile = ProfileConfig::default();
+    let preferences = (0..n)
+        .map(|_| UsageProfile::generate(&mut rng, &profile).wide())
+        .collect();
+    AllocationProblem::from_config(preferences, &EnkiConfig::default())
 }
 
 /// Formats `mean ± half-width` the way the paper's error bars read.

@@ -50,6 +50,17 @@ pub fn classify(rel_path: &str, source: &str) -> SourceFile {
     }
 }
 
+/// Whether `dir` holds a `Cargo.toml` that declares a `[workspace]` of
+/// its own (a separate build, such as a benchmark harness that builds
+/// against the workspace's crates by path without joining it).
+fn is_separate_workspace(dir: &Path) -> bool {
+    std::fs::read_to_string(dir.join("Cargo.toml")).is_ok_and(|manifest| {
+        manifest.lines().map(str::trim).any(|line| {
+            line == "[workspace]" || line.starts_with("[workspace.")
+        })
+    })
+}
+
 fn walk(dir: &Path, files: &mut Vec<PathBuf>) -> Result<(), String> {
     let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)
         .map_err(|e| format!("cannot read {}: {e}", dir.display()))?
@@ -62,7 +73,9 @@ fn walk(dir: &Path, files: &mut Vec<PathBuf>) -> Result<(), String> {
                 .file_name()
                 .and_then(|n| n.to_str())
                 .unwrap_or_default();
-            if SKIP_DIRS.contains(&name) {
+            // A nested workspace is another project: its own lint scope,
+            // not this one's.
+            if SKIP_DIRS.contains(&name) || is_separate_workspace(&path) {
                 continue;
             }
             walk(&path, files)?;
@@ -74,7 +87,9 @@ fn walk(dir: &Path, files: &mut Vec<PathBuf>) -> Result<(), String> {
 }
 
 /// Discovers every lintable `.rs` file under `root`, sorted for
-/// deterministic reports.
+/// deterministic reports. Subdirectories whose `Cargo.toml` declares a
+/// separate `[workspace]` are not descended into; `root` itself is
+/// always scanned.
 ///
 /// # Errors
 ///

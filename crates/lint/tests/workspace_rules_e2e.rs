@@ -55,6 +55,31 @@ fn r9_consistent_order_tree_passes() {
 }
 
 #[test]
+fn nested_workspace_is_out_of_scope_but_workspace_crates_are_not() {
+    // `harness/` declares its own `[workspace]`: another project, so the
+    // walk skips it. The spawns in `crates/solver/src` and in the
+    // non-workspace member crate still fail R5.
+    let report = check_tree("ws_nested_workspace");
+    let r5: Vec<&str> = report
+        .violations
+        .iter()
+        .filter(|v| v.rule == RuleId::ThreadDiscipline)
+        .map(|v| v.path.as_str())
+        .collect();
+    assert_eq!(
+        r5,
+        vec!["crates/solver/src/spawn.rs", "member/src/lib.rs"],
+        "{:#?}",
+        report.violations
+    );
+    assert!(
+        report.violations.iter().all(|v| !v.path.starts_with("harness/")),
+        "{:#?}",
+        report.violations
+    );
+}
+
+#[test]
 fn r10_taint_tree_fails_at_the_sink_call() {
     let report = check_tree("ws_r10_taint_bad");
     assert_eq!(

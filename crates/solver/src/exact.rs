@@ -29,8 +29,9 @@
 //!   from the first node.
 //! * **Bounds** — layered cheap-to-strong: a Lagrangian *price bound*
 //!   first (fixed-point integer prices from the continuous relaxation's
-//!   dual optimum, solved once per instance by Frank–Wolfe — O(hours)
-//!   per node and tight to within the integrality gap), then the
+//!   dual optimum, solved once per instance by pairwise Frank–Wolfe —
+//!   O(hours) per node, tight to within the integrality gap, and rounded
+//!   up to the next integer Σc²), then the
 //!   analytic integer union fill ([`unit_fill_extra`]), then the
 //!   pigeonhole partition bound ([`unit_pigeonhole_bound`]) with its
 //!   values memoized per `(slot, counts)` subtree key.
@@ -47,6 +48,7 @@
 //! settlements and traces remain byte-reproducible.
 
 use std::collections::BTreeMap;
+use std::ops::{Add, Mul, Shl};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -61,6 +63,7 @@ use crate::bounds::{
     hours_mask, unit_fill_extra, unit_pigeonhole_bound, unit_sum_of_squares, ForcedUnits,
 };
 use crate::local_search::LocalSearch;
+use crate::par::{ParStats, PhaseProfile};
 use crate::problem::{AllocationProblem, EquivalenceClasses, Solution};
 
 /// Outcome of a branch-and-bound run.
@@ -79,6 +82,10 @@ pub struct SolveReport {
     /// The root relaxation's lower bound on the optimum (σ-scaled). Valid
     /// whether or not the search completed.
     pub root_bound: f64,
+    /// Pairwise Frank–Wolfe sweeps the price solve ran before its
+    /// duality-gap test passed (a pure function of the instance, like
+    /// `nodes`).
+    pub price_sweeps: u32,
 }
 
 impl SolveReport {
@@ -170,11 +177,11 @@ impl BranchAndBound {
         self.threads
     }
 
-    /// Enables per-phase profiling: the parallel driver then reports a
-    /// [`PhaseProfile`](crate::par::PhaseProfile) in its
-    /// [`ParStats`](crate::par::ParStats). Off by default; the profile
-    /// measures wall time, so it is *not* part of the bit-identical
-    /// solve contract.
+    /// Enables per-phase profiling: [`solve_with_stats`](Self::solve_with_stats)
+    /// then reports a [`PhaseProfile`] (preparation phases, search, and
+    /// the parallel driver's split) in its [`ParStats`]. Off by default;
+    /// the profile measures wall time, so it is *not* part of the
+    /// bit-identical solve contract.
     #[must_use]
     pub fn with_profiling(mut self, profiling: bool) -> Self {
         self.profiling = profiling;
@@ -246,15 +253,13 @@ impl BranchAndBound {
     /// (none occur for a well-formed [`AllocationProblem`]).
     #[must_use = "dropping the outcome discards the branch-and-bound solution and its bound"]
     pub fn solve(&self, problem: &AllocationProblem) -> Result<SolveReport> {
-        if self.threads > 1 {
-            return crate::par::solve_parallel(self, problem).map(|(report, _)| report);
-        }
-        self.solve_sequential(problem)
+        self.solve_with_stats(problem).map(|(report, _)| report)
     }
 
     /// [`solve`](Self::solve), additionally returning the parallel-run
-    /// statistics (task, steal, and re-validation counters). With one
-    /// thread the statistics are all zero.
+    /// statistics (task, steal, and re-validation counters) and, when
+    /// profiling, the phase timings. With one thread the counters are
+    /// all zero.
     ///
     /// # Errors
     ///
@@ -263,47 +268,66 @@ impl BranchAndBound {
     pub fn solve_with_stats(
         &self,
         problem: &AllocationProblem,
-    ) -> Result<(SolveReport, crate::par::ParStats)> {
-        if self.threads > 1 {
-            return crate::par::solve_parallel(self, problem);
-        }
-        Ok((
-            self.solve_sequential(problem)?,
-            crate::par::ParStats::sequential(),
-        ))
-    }
-
-    /// The plain sequential depth-first search — also the semantic
-    /// reference the parallel driver in [`crate::par`] must reproduce
-    /// bit-for-bit.
-    pub(crate) fn solve_sequential(&self, problem: &AllocationProblem) -> Result<SolveReport> {
+    ) -> Result<(SolveReport, ParStats)> {
         let start = self.clock.now();
         let prep = self.prepare(problem)?;
-        let mut search = prep.search(self.clock.as_ref(), start, self.node_limit, self.time_limit);
-        search.run_from(0);
+        if self.threads > 1 {
+            if let Some(split_slot) = prep.split_slot {
+                return crate::par::solve_parallel(self, problem, &prep, split_slot, start);
+            }
+        }
+        self.solve_sequential(problem, &prep, start)
+    }
 
-        let proven_optimal = !search.aborted;
-        let nodes = search.nodes;
+    /// The plain sequential depth-first search over a preparation — also
+    /// the semantic reference the parallel driver in [`crate::par`] must
+    /// reproduce bit-for-bit. The statistics are all zero apart from the
+    /// thread count and, when profiling, the phase timings.
+    fn solve_sequential(
+        &self,
+        problem: &AllocationProblem,
+        prep: &Prep,
+        start: Duration,
+    ) -> Result<(SolveReport, ParStats)> {
+        let mut search = prep.search(self.clock.as_ref(), start, self.node_limit, self.time_limit);
+        search.profile_bounds = self.profiling;
+        let mut laps = Laps::start(self.profiling.then_some(self.clock.as_ref()));
+        search.run_from(0);
+        let search_ns = laps.lap();
+
         let deferments = prep.eq.expand(&search.best_chosen);
-        let solution = Solution::from_deferments(problem, deferments)?;
-        Ok(SolveReport {
-            solution,
-            nodes,
-            elapsed: self.clock.now().saturating_sub(start),
-            proven_optimal,
-            initial_incumbent: prep.initial_incumbent,
-            root_bound: prep.root_bound,
-        })
+        let report = prep.report(
+            Solution::from_deferments(problem, deferments)?,
+            &search,
+            self.clock.now().saturating_sub(start),
+        );
+        let stats = ParStats {
+            threads: self.threads,
+            profile: prep.profile.clone().map(|profile| PhaseProfile {
+                search_ns,
+                bound_ns: search.bound_ns,
+                bound_evals: search.bound_evals,
+                bound_cache_hits: search.bound_cache_hits,
+                ..profile
+            }),
+            ..ParStats::default()
+        };
+        Ok((report, stats))
     }
 
     /// Everything a search drive needs that does not depend on *how* the
     /// tree is walked: incumbent, class layout, per-slot and per-class
-    /// tables, the split point, and the root bound.
+    /// tables, the split point, the reference prices, and the root bound.
+    /// With profiling on, the three phases (incumbent, classes + tables,
+    /// prices) are timed into [`Prep::profile`].
     pub(crate) fn prepare(&self, problem: &AllocationProblem) -> Result<Prep> {
+        let mut laps = Laps::start(self.profiling.then_some(self.clock.as_ref()));
+
         // Incumbent via coordinate descent with restarts.
         let mut rng = StdRng::seed_from_u64(self.seed);
         let incumbent = LocalSearch::new().solve(problem, self.incumbent_restarts, &mut rng)?;
         let initial_incumbent = incumbent.objective;
+        let incumbent_ns = laps.lap();
 
         let eq = EquivalenceClasses::group(problem);
         let class_count = eq.class_count();
@@ -369,14 +393,9 @@ impl BranchAndBound {
         // Integer view of the incumbent: per-slot counts and the exact
         // Σc² it settles to.
         let incumbent_chosen = eq.chosen_of(&incumbent.deferments);
-        let mut counts = [0u32; HOURS_PER_DAY];
-        for (p, &d) in problem.preferences().iter().zip(&incumbent.deferments) {
-            let b = p.begin() + d;
-            for h in b..b + p.duration() {
-                counts[usize::from(h)] += 1;
-            }
-        }
+        let counts = unit_counts(problem, &incumbent.deferments);
         let incumbent_sumsq = unit_sum_of_squares(&counts);
+        let tables_ns = laps.lap();
 
         // Reference prices for the Lagrangian price bound. For any price
         // vector λ ≥ 0,
@@ -386,38 +405,30 @@ impl BranchAndBound {
         //
         // where the job minimum ranges over each remaining member's
         // feasible contiguous blocks. The bound is tightest at the dual
-        // optimum λ* = 2·x* of the continuous relaxation, which
-        // Frank-Wolfe approaches to within [`FW_EPS`]; the prices are then
-        // frozen as fixed-point integers Λ = round(λ·2^[`PRICE_SHIFT`]) so
-        // every in-tree evaluation is exact `u64` arithmetic (any Λ ≥ 0
-        // keeps the bound admissible — rounding only loosens it).
-        let lambda = relaxation_prices(&eq, &counts);
-        let mut slot_price = vec![0u64; eq.slot_count()];
-        for (s, info) in slots.iter().enumerate() {
-            let mut bits = info.block_mask;
-            let mut sum = 0u64;
-            while bits != 0 {
-                let h = bits.trailing_zeros() as usize;
-                sum += lambda[h];
-                bits &= bits - 1;
-            }
-            slot_price[s] = sum;
-        }
-        // Suffix-min within each class: members still unassigned at slot
-        // (class, d) may only take deferments ≥ d.
-        let mut min_price_from = slot_price.clone();
-        for s in (0..min_price_from.len().saturating_sub(1)).rev() {
-            if slots[s].class == slots[s + 1].class {
-                min_price_from[s] = min_price_from[s].min(min_price_from[s + 1]);
-            }
-        }
-        // Σ over whole classes `c'. ≥ c` of size · min block price.
-        let mut suffix_price = vec![0u64; class_count + 1];
-        for c in (0..class_count).rev() {
-            let first_slot = eq.offset(c);
-            suffix_price[c] =
-                suffix_price[c + 1] + u64::from(class_size[c]) * min_price_from[first_slot];
-        }
+        // optimum λ* = 2·x* of the continuous relaxation, which the
+        // pairwise Frank–Wolfe solve approaches to within [`FW_EPS`]; the
+        // prices are then frozen as fixed-point integers
+        // Λ = round(λ·2^[`PRICE_SHIFT`]) so every in-tree evaluation is
+        // exact integer arithmetic (any Λ ≥ 0 keeps the bound admissible —
+        // rounding only loosens it).
+        let prices = relaxation_prices(&eq, &counts, &incumbent_chosen);
+        let lambda = prices.lambda;
+        let (min_price_from, suffix_price, price_arith) =
+            match price_tables(&eq, &slots, &class_size, &lambda) {
+                Some((min_price_from, suffix_price)) => {
+                    let arith = PriceArith::for_envelope(
+                        envelope_sumsq(suffix_units[0]),
+                        envelope_price(&slots, &class_size, &min_price_from, &suffix_price),
+                        envelope_penalty(&lambda),
+                    );
+                    (min_price_from, suffix_price, arith)
+                }
+                None => (
+                    vec![0; eq.slot_count()],
+                    vec![0; class_count + 1],
+                    PriceArith::Off,
+                ),
+            };
         let rate = problem.rate();
         let sigma = problem.sigma();
         let zero = [0u32; HOURS_PER_DAY];
@@ -426,11 +437,16 @@ impl BranchAndBound {
         // Root price bound (f64 for reporting only; the in-tree prune
         // comparison stays in scaled integers): at the empty prefix the
         // per-hour penalty is ΣΛ²/4S² and the price part is Σ·Λ-min/S.
-        let scale = f64::from(1u32 << PRICE_SHIFT);
-        let lambda_sq: f64 = lambda.iter().map(|&l| (l as f64) * (l as f64)).sum();
-        let lag_root = (suffix_price[0] as f64) / scale - lambda_sq / (4.0 * scale * scale);
+        let lag_root = if price_arith == PriceArith::Off {
+            0.0
+        } else {
+            let scale = f64::from(1u32 << PRICE_SHIFT);
+            let lambda_sq: f64 = lambda.iter().map(|&l| (l as f64) * (l as f64)).sum();
+            (suffix_price[0] as f64) / scale - lambda_sq / (4.0 * scale * scale)
+        };
         let root_bound =
             sigma * rate * rate * (fill.max(pigeon) as f64).max(lag_root.max(0.0));
+        let prices_ns = laps.lap();
         Ok(Prep {
             eq,
             slots,
@@ -443,11 +459,31 @@ impl BranchAndBound {
             incumbent_sumsq,
             initial_incumbent,
             root_bound,
+            price_sweeps: prices.sweeps,
             lambda,
             min_price_from,
             suffix_price,
+            price_arith,
+            profile: self.profiling.then(|| PhaseProfile {
+                incumbent_ns,
+                tables_ns,
+                prices_ns,
+                ..PhaseProfile::default()
+            }),
         })
     }
+}
+
+/// Per-hour unit counts of a schedule given as per-household deferments.
+fn unit_counts(problem: &AllocationProblem, deferments: &[u8]) -> [u32; HOURS_PER_DAY] {
+    let mut counts = [0u32; HOURS_PER_DAY];
+    for (p, &d) in problem.preferences().iter().zip(deferments) {
+        let b = p.begin() + d;
+        for h in b..b + p.duration() {
+            counts[usize::from(h)] += 1;
+        }
+    }
+    counts
 }
 
 /// Fixed seed-count target for the parallel split. Intentionally not
@@ -467,84 +503,277 @@ const BOUND_CACHE_CAP: usize = 100_000;
 
 /// Fixed-point scale shift for the Lagrangian reference prices: prices
 /// are stored as `Λ = round(λ · 2^PRICE_SHIFT)`. The in-tree prune test
-/// compares values scaled by `4·2^(2·PRICE_SHIFT)`, so the arithmetic
-/// stays exact in `u64` while `Σc² < 2^(62 − 2·PRICE_SHIFT − 2) = 2^28`
-/// — comfortably beyond day-sized instances (`Σc²` at n=1024 is ≈ 2^19).
+/// compares values scaled by `4·2^(2·PRICE_SHIFT)`; whether that fits
+/// `u64` is decided per instance at `prepare` ([`PriceArith`]).
 const PRICE_SHIFT: u32 = 16;
 
-/// Frank-Wolfe iteration cap for the continuous-relaxation prices. The
-/// loop usually exits early on the duality-gap test; the cap bounds
-/// preparation time deterministically.
-const FW_MAX_ITERS: u32 = 20_000;
+/// Scale of the in-tree price test, `4·2^(2·PRICE_SHIFT)`, as a shift.
+const TEST_SHIFT: u32 = 2 * PRICE_SHIFT + 2;
 
-/// Frank-Wolfe duality-gap stop (in Σc² units): once the linearized gap
-/// is below this the prices are within a quarter unit of dual-optimal,
-/// which is far below the integrality gap the branching must close
-/// anyway.
+/// Sweep cap for the pairwise Frank–Wolfe price solve. The solve
+/// converges linearly and usually exits on the duality-gap test within a
+/// few dozen sweeps; the cap only bounds preparation time
+/// deterministically (any prices it stops at are still admissible).
+const FW_MAX_SWEEPS: u32 = 1_000;
+
+/// Frank–Wolfe duality-gap stop (in Σc² units), tested once per sweep:
+/// once `⟨∇f, x − s⟩` is at most this the relaxation value is within a
+/// quarter unit of its optimum, far below the integrality gap of one
+/// unit the rounded prune and the branching must close anyway.
 const FW_EPS: f64 = 0.25;
 
+/// The continuous-relaxation prices and how their solve ended.
+struct PriceSolve {
+    /// Fixed-point prices `Λ_h = round(2·x_h·2^PRICE_SHIFT)`.
+    lambda: [u64; HOURS_PER_DAY],
+    /// Pairwise sweeps run before the gap test passed (or the cap).
+    sweeps: u32,
+    /// Frank–Wolfe duality gap at the returned loads (read by the
+    /// convergence tests).
+    #[cfg_attr(not(test), allow(dead_code))]
+    gap: f64,
+}
+
 /// Dual-near-optimal reference prices for the price bound, via
-/// Frank-Wolfe on the continuous relaxation of Eq. 2 (members may split
-/// fractionally across their feasible blocks). Each step places every
-/// class on its cheapest block under the gradient prices `2x` and moves
-/// with the exact closed-form line search; the run is warm-started from
-/// the incumbent loads and is a pure function of `(eq, incumbent)`, so
-/// every drive of the same instance sees identical prices. Returns the
-/// fixed-point integer prices `Λ = round(2·x*·2^PRICE_SHIFT)`.
+/// block-coordinate pairwise Frank–Wolfe on the continuous relaxation of
+/// Eq. 2: every class is a simplex of weight `size` over its deferments,
+/// members may split fractionally, and the load is `x = Σ w·block`.
+///
+/// Each sweep visits the classes in order and moves weight from the
+/// dearest block in the class's support to its cheapest block under the
+/// gradient prices `∇f = 2x`. Only the hours the two blocks do not share
+/// change, `min(shift, duration)` on each side, so the exact line search
+/// of `Σx²` is `t = (hi − lo) / (2·min(shift, duration))` over the block
+/// load sums, clamped to the away block's weight (a *drop* step when the
+/// clamp binds). Pairwise FW converges linearly on products of simplices
+/// (Lacoste-Julien & Jaggi, NeurIPS 2015). The weights start at the incumbent's per-slot counts, and the run is a
+/// pure function of `(eq, incumbent)`, so every drive of the same
+/// instance sees identical prices.
 fn relaxation_prices(
     eq: &EquivalenceClasses,
     incumbent_counts: &[u32; HOURS_PER_DAY],
-) -> [u64; HOURS_PER_DAY] {
+    incumbent_chosen: &[u32],
+) -> PriceSolve {
     let mut x = [0.0f64; HOURS_PER_DAY];
     for (xh, &c) in x.iter_mut().zip(incumbent_counts) {
         *xh = f64::from(c);
     }
-    for _ in 0..FW_MAX_ITERS {
-        // Direction: every class fully on its cheapest block under ∇f=2x.
-        let mut s = [0.0f64; HOURS_PER_DAY];
-        for class in eq.classes() {
+    let mut weight: Vec<f64> = incumbent_chosen.iter().map(|&k| f64::from(k)).collect();
+    let mut sweeps = 0;
+    let mut gap = duality_gap(eq, &x, &weight);
+    while gap > FW_EPS && sweeps < FW_MAX_SWEEPS {
+        for (c, class) in eq.classes().iter().enumerate() {
             let p = class.preference();
             let (b, v) = (usize::from(p.begin()), usize::from(p.duration()));
-            let mut best = f64::INFINITY;
-            let mut best_d = 0;
-            for d in 0..usize::from(class.choices()) {
-                let val: f64 = x[b + d..b + d + v].iter().sum();
-                if val < best {
-                    best = val;
-                    best_d = d;
+            let w = &mut weight[eq.offset(c)..eq.offset(c) + usize::from(class.choices())];
+            // Toward: the cheapest block. Away: the dearest block that
+            // still carries weight.
+            let (mut lo, mut lo_d) = (f64::INFINITY, 0);
+            let (mut hi, mut hi_d) = (f64::NEG_INFINITY, 0);
+            for (d, &wd) in w.iter().enumerate() {
+                let load: f64 = x[b + d..b + d + v].iter().sum();
+                if load < lo {
+                    (lo, lo_d) = (load, d);
+                }
+                if wd > 0.0 && load > hi {
+                    (hi, hi_d) = (load, d);
                 }
             }
-            let weight = f64::from(class.size());
-            for sh in &mut s[b + best_d..b + best_d + v] {
-                *sh += weight;
+            if hi <= lo {
+                continue;
+            }
+            let changed = hi_d.abs_diff(lo_d).min(v) as f64;
+            let t = ((hi - lo) / (2.0 * changed)).min(w[hi_d]);
+            w[hi_d] -= t;
+            w[lo_d] += t;
+            for xh in &mut x[b + hi_d..b + hi_d + v] {
+                *xh -= t;
+            }
+            for xh in &mut x[b + lo_d..b + lo_d + v] {
+                *xh += t;
             }
         }
-        // Linearized gap ⟨∇f, s − x⟩ ≤ 0; small means near-optimal.
-        let gap: f64 = x.iter().zip(&s).map(|(&xh, &sh)| 2.0 * xh * (sh - xh)).sum();
-        if gap >= -FW_EPS {
-            break;
-        }
-        let dir_sq: f64 = x.iter().zip(&s).map(|(&xh, &sh)| (sh - xh) * (sh - xh)).sum();
-        if dir_sq <= 0.0 {
-            break;
-        }
-        // Exact line search of the quadratic along x + γ(s − x).
-        let gamma = (-gap / (2.0 * dir_sq)).clamp(0.0, 1.0);
-        if gamma <= 0.0 {
-            break;
-        }
-        for (xh, &sh) in x.iter_mut().zip(&s) {
-            *xh += gamma * (sh - *xh);
-        }
+        sweeps += 1;
+        gap = duality_gap(eq, &x, &weight);
     }
     let mut lambda = [0u64; HOURS_PER_DAY];
     let to_fixed = f64::from(1u32 << (PRICE_SHIFT + 1));
     for (l, &xh) in lambda.iter_mut().zip(&x) {
         // Loads are bounded by the member count, so the product fits u64
-        // with room to spare; negative is impossible but clamp anyway.
+        // with room to spare; the incremental updates can leave a zero
+        // load a rounding error below zero, so clamp.
         *l = (xh * to_fixed).round().max(0.0) as u64;
     }
+    PriceSolve {
+        lambda,
+        sweeps,
+        gap,
+    }
+}
+
+/// Frank–Wolfe duality gap `⟨∇f, x − s⟩` of the weighted relaxation,
+/// `s` every class fully on its cheapest block under `∇f = 2x`: the sum
+/// over classes of `Σ_d w_d·2·load_d − size·2·min_d load_d`. It bounds
+/// `f(x) − f*` from above.
+fn duality_gap(eq: &EquivalenceClasses, x: &[f64; HOURS_PER_DAY], weight: &[f64]) -> f64 {
+    let mut gap = 0.0;
+    for (c, class) in eq.classes().iter().enumerate() {
+        let p = class.preference();
+        let (b, v) = (usize::from(p.begin()), usize::from(p.duration()));
+        let w = &weight[eq.offset(c)..eq.offset(c) + usize::from(class.choices())];
+        let mut lo = f64::INFINITY;
+        for (d, &wd) in w.iter().enumerate() {
+            let load: f64 = x[b + d..b + d + v].iter().sum();
+            lo = lo.min(load);
+            gap += 2.0 * wd * load;
+        }
+        gap -= 2.0 * f64::from(class.size()) * lo;
+    }
+    gap
+}
+
+/// Per-slot price tables for the price bound, `(min_price_from,
+/// suffix_price)` (see [`Prep`]), or `None` when an entry overflows
+/// `u64` — the instance then runs without the price bound.
+fn price_tables(
+    eq: &EquivalenceClasses,
+    slots: &[SlotInfo],
+    class_size: &[u32],
+    lambda: &[u64; HOURS_PER_DAY],
+) -> Option<(Vec<u64>, Vec<u64>)> {
+    let mut min_price_from = Vec::with_capacity(slots.len());
+    for info in slots {
+        let mut bits = info.block_mask;
+        let mut sum = 0u64;
+        while bits != 0 {
+            let h = bits.trailing_zeros() as usize;
+            sum = sum.checked_add(lambda[h])?;
+            bits &= bits - 1;
+        }
+        min_price_from.push(sum);
+    }
+    // Suffix-min within each class: members still unassigned at slot
+    // (class, d) may only take deferments ≥ d.
+    for s in (0..min_price_from.len().saturating_sub(1)).rev() {
+        if slots[s].class == slots[s + 1].class {
+            min_price_from[s] = min_price_from[s].min(min_price_from[s + 1]);
+        }
+    }
+    // Σ over whole classes `c' ≥ c` of size · min block price.
+    let mut suffix_price = vec![0u64; class_size.len() + 1];
+    for c in (0..class_size.len()).rev() {
+        let class_part = u64::from(class_size[c]).checked_mul(min_price_from[eq.offset(c)])?;
+        suffix_price[c] = suffix_price[c + 1].checked_add(class_part)?;
+    }
+    Some((min_price_from, suffix_price))
+}
+
+/// Upper bound on every Σc² the search compares (prefix sums and the
+/// incumbent): `Σc² ≤ (Σc)²`, with `Σc` the instance's total units.
+fn envelope_sumsq(units: u32) -> u128 {
+    u128::from(units) * u128::from(units)
+}
+
+/// Upper bound on the price part `rem·min_price_from[slot] +
+/// suffix_price[class + 1]` at any node (`rem` ≤ the class size).
+fn envelope_price(
+    slots: &[SlotInfo],
+    class_size: &[u32],
+    min_price_from: &[u64],
+    suffix_price: &[u64],
+) -> u128 {
+    slots
+        .iter()
+        .zip(min_price_from)
+        .map(|(info, &price)| {
+            u128::from(class_size[info.class]) * u128::from(price)
+                + u128::from(suffix_price[info.class + 1])
+        })
+        .max()
+        .unwrap_or(0)
+}
+
+/// Upper bound on the penalty `Σ(Λ_h − 2c_h·2^S)₊²` at any node: every
+/// shortfall is at most `Λ_h`.
+fn envelope_penalty(lambda: &[u64; HOURS_PER_DAY]) -> u128 {
     lambda
+        .iter()
+        .map(|&l| u128::from(l) * u128::from(l))
+        .fold(0u128, u128::saturating_add)
+}
+
+/// Integer width of the in-tree price test, fixed per instance at
+/// `prepare` from upper bounds on every operand, so no shift or sum can
+/// drop bits: `u64` when the bounds prove it exact, `u128` otherwise,
+/// and no price bound at all when even the `u64` price tables overflow.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PriceArith {
+    U64,
+    U128,
+    Off,
+}
+
+impl PriceArith {
+    /// `U64` when both sides of the rounded test stay within `u64` at the
+    /// operand bounds, `U128` otherwise. With `price < 2^96`, `sumsq <
+    /// 2^64` and `penalty ≤ 24·Λ²` (Λ < 2^50 for any household count
+    /// below 2^32) the `u128` evaluation cannot overflow.
+    fn for_envelope(sumsq_max: u128, price_max: u128, penalty_max: u128) -> Self {
+        let lhs = price_max
+            .saturating_mul(1 << (PRICE_SHIFT + 2))
+            .saturating_add(sumsq_max.saturating_mul(1 << TEST_SHIFT))
+            .saturating_add(1 << TEST_SHIFT);
+        let rhs = sumsq_max
+            .saturating_mul(1 << TEST_SHIFT)
+            .saturating_add(penalty_max);
+        if lhs.max(rhs) <= u128::from(u64::MAX) {
+            Self::U64
+        } else {
+            Self::U128
+        }
+    }
+}
+
+/// Unsigned integers the price test runs in (`u64` or `u128`).
+trait PriceInt:
+    Copy + Ord + From<u64> + Add<Output = Self> + Mul<Output = Self> + Shl<u32, Output = Self>
+{
+}
+impl PriceInt for u64 {}
+impl PriceInt for u128 {}
+
+/// The rounded price-bound prune test. Σc² is an integer, so a subtree
+/// whose real lower bound exceeds `best − 1` cannot hold anything better
+/// than `best`; at scale `4S² = 2^TEST_SHIFT` (S = 2^PRICE_SHIFT):
+///
+///   4S·price + 4S²·sumsq − penalty > 4S²·(best − 1)
+///   ⟺ 4S·price + 4S²·sumsq + 4S² > 4S²·best + penalty.
+fn price_test<T: PriceInt>(price: T, sumsq: T, best: T, penalty: T) -> bool {
+    let round = T::from(1) << TEST_SHIFT;
+    (price << (PRICE_SHIFT + 2)) + (sumsq << TEST_SHIFT) + round > (best << TEST_SHIFT) + penalty
+}
+
+/// Wall-clock phase timer for profiled solves; inert (every lap 0) when
+/// profiling is off, so an unprofiled solve never reads the clock here.
+struct Laps<'a> {
+    clock: Option<&'a dyn Clock>,
+    last: Duration,
+}
+
+impl<'a> Laps<'a> {
+    fn start(clock: Option<&'a dyn Clock>) -> Self {
+        let last = clock.map_or(Duration::ZERO, Clock::now);
+        Self { clock, last }
+    }
+
+    /// Nanoseconds since the previous lap (or the start).
+    fn lap(&mut self) -> u64 {
+        let Some(clock) = self.clock else { return 0 };
+        let now = clock.now();
+        let spent = now.saturating_sub(self.last);
+        self.last = now;
+        u64::try_from(spent.as_nanos()).unwrap_or(u64::MAX)
+    }
 }
 
 /// Number of per-class deferment count vectors: `C(size + slack, slack)`
@@ -608,6 +837,8 @@ pub(crate) struct Prep {
     pub(crate) incumbent_sumsq: u64,
     pub(crate) initial_incumbent: f64,
     pub(crate) root_bound: f64,
+    /// Pairwise Frank–Wolfe sweeps the price solve ran.
+    pub(crate) price_sweeps: u32,
     /// Fixed-point reference prices for the Lagrangian price bound:
     /// `Λ_h = round(λ_h · 2^PRICE_SHIFT)` with λ ≈ 2·x* the dual-optimal
     /// prices of the continuous relaxation (see [`relaxation_prices`]).
@@ -619,9 +850,31 @@ pub(crate) struct Prep {
     /// Per class index `c`, Σ over classes `c'. ≥ c` of
     /// size · min block Λ-price; entry `class_count` is 0.
     suffix_price: Vec<u64>,
+    /// Integer width of the price test, from the operand envelope.
+    price_arith: PriceArith,
+    /// Phase timings of `prepare` (profiled solves only).
+    pub(crate) profile: Option<PhaseProfile>,
 }
 
 impl Prep {
+    /// The report of a finished root drive over this preparation.
+    pub(crate) fn report(
+        &self,
+        solution: Solution,
+        drive: &Search<'_>,
+        elapsed: Duration,
+    ) -> SolveReport {
+        SolveReport {
+            solution,
+            nodes: drive.nodes,
+            elapsed,
+            proven_optimal: !drive.aborted,
+            initial_incumbent: self.initial_incumbent,
+            root_bound: self.root_bound,
+            price_sweeps: self.price_sweeps,
+        }
+    }
+
     /// A fresh root-state search over this preparation.
     pub(crate) fn search<'a>(
         &'a self,
@@ -928,30 +1181,25 @@ impl Search<'_> {
         let rem_units = rem * u32::from(info.duration) + self.prep.suffix_units[class + 1];
         let avail_mask = info.live_mask;
 
-        // Cheapest first: the Lagrangian price bound. Remaining members
-        // each pay at least their cheapest feasible block at the frozen
-        // fixed-point reference prices; the per-hour penalty Σ(λ/2−c)₊²
-        // is what the relaxed continuous load could still save below the
-        // price level — evaluated on *live* hours only, because dead
-        // hours can take no further load and contribute their exact c².
-        // Everything is compared at scale `4·2^(2·PRICE_SHIFT)` and
-        // rearranged to stay unsigned:
-        //   bound ≥ best ⟺ 4S·price_part + 4S²·sumsq ≥ 4S²·best + penalty.
-        let price_part = u64::from(rem) * self.prep.min_price_from[slot]
-            + self.prep.suffix_price[class + 1];
-        let mut penalty: u64 = 0;
-        let mut bits = avail_mask;
-        while bits != 0 {
-            let h = bits.trailing_zeros() as usize;
-            let short = self.prep.lambda[h]
-                .saturating_sub(u64::from(self.counts[h]) << (PRICE_SHIFT + 1));
-            penalty += short * short;
-            bits &= bits - 1;
-        }
-        let lhs =
-            (price_part << (PRICE_SHIFT + 2)) + (self.sumsq << (2 * PRICE_SHIFT + 2));
-        let rhs = (self.best_sumsq << (2 * PRICE_SHIFT + 2)) + penalty;
-        let mut prunes = lhs >= rhs;
+        // Cheapest first: the Lagrangian price bound, in the integer
+        // width the instance's envelope allows (see [`PriceArith`]).
+        debug_assert!(
+            u128::from(self.best_sumsq) <= envelope_sumsq(self.prep.suffix_units[0]),
+            "Σc² left the envelope the price-test width was chosen for",
+        );
+        let mut prunes = match self.prep.price_arith {
+            PriceArith::U64 => {
+                let prunes = self.price_prunes::<u64>(slot, rem, avail_mask);
+                debug_assert_eq!(
+                    prunes,
+                    self.price_prunes::<u128>(slot, rem, avail_mask),
+                    "u64 price test disagrees with its u128 reference",
+                );
+                prunes
+            }
+            PriceArith::U128 => self.price_prunes::<u128>(slot, rem, avail_mask),
+            PriceArith::Off => false,
+        };
 
         // Next: the analytic union fill of the remaining units.
         if !prunes {
@@ -993,6 +1241,30 @@ impl Search<'_> {
         prunes
     }
 
+    /// The price bound at `(slot, rem)` in integer type `T`. Remaining
+    /// members each pay at least their cheapest feasible block at the
+    /// frozen fixed-point reference prices; the per-hour penalty
+    /// Σ(λ/2−c)₊² is what the relaxed continuous load could still save
+    /// below the price level — evaluated on *live* hours only, because
+    /// dead hours can take no further load and contribute their exact c².
+    fn price_prunes<T: PriceInt>(&self, slot: usize, rem: u32, avail_mask: u32) -> bool {
+        let class = self.prep.slots[slot].class;
+        let price = T::from(u64::from(rem)) * T::from(self.prep.min_price_from[slot])
+            + T::from(self.prep.suffix_price[class + 1]);
+        let mut penalty = T::from(0);
+        let mut bits = avail_mask;
+        while bits != 0 {
+            let h = bits.trailing_zeros() as usize;
+            let short = T::from(
+                self.prep.lambda[h]
+                    .saturating_sub(u64::from(self.counts[h]) << (PRICE_SHIFT + 1)),
+            );
+            penalty = penalty + short * short;
+            bits &= bits - 1;
+        }
+        price_test(price, T::from(self.sumsq), T::from(self.best_sumsq), penalty)
+    }
+
     /// Adds (or removes) `k` units on every hour of the block mask.
     fn apply(&mut self, mask: u32, k: u32, add: bool) {
         if k == 0 {
@@ -1016,6 +1288,7 @@ mod tests {
     use super::*;
     use crate::brute::brute_force;
     use enki_core::household::Preference;
+    use rand::{Rng, RngExt};
 
     fn pref(b: u8, e: u8, v: u8) -> Preference {
         Preference::new(b, e, v).unwrap()
@@ -1196,6 +1469,178 @@ mod tests {
         let b = BranchAndBound::new().with_seed(7).solve(&p).unwrap();
         assert_eq!(a.solution, b.solution);
         assert_eq!(a.nodes, b.nodes);
+    }
+
+    /// The price solve `prepare` runs, from the default incumbent.
+    fn price_solve(p: &AllocationProblem) -> PriceSolve {
+        let mut rng = StdRng::seed_from_u64(0x5eed_cafe);
+        let incumbent = LocalSearch::new().solve(p, 8, &mut rng).unwrap();
+        let eq = EquivalenceClasses::group(p);
+        let chosen = eq.chosen_of(&incumbent.deferments);
+        relaxation_prices(&eq, &unit_counts(p, &incumbent.deferments), &chosen)
+    }
+
+    /// `(begin, duration, slack)` → a preference clamped into the day, as
+    /// the class-collapse suite builds them.
+    fn clamped(begin: u8, duration: u8, slack: u8) -> Preference {
+        let begin = begin.min(24 - duration - slack);
+        pref(begin, begin + duration + slack, duration)
+    }
+
+    proptest::proptest! {
+        /// The class-collapse suite's instance shapes — duplicate-heavy
+        /// pools and all-distinct signatures — plus wide windows: the
+        /// pairwise solve always exits on its gap test, never the cap.
+        #[test]
+        fn price_solve_exits_on_the_gap_on_class_collapse_instances(
+            pool in proptest::collection::vec((0u8..18, 1u8..=3, 0u8..=6), 1..=3),
+            picks in proptest::collection::vec(0usize..16, 1..=40),
+            begins in proptest::collection::vec(0u8..12, 1..=10),
+        ) {
+            let heavy: Vec<Preference> = picks
+                .iter()
+                .map(|&i| {
+                    let (b, v, slack) = pool[i % pool.len()];
+                    clamped(b, v, slack)
+                })
+                .collect();
+            let mut distinct = begins.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            let distinct: Vec<Preference> =
+                distinct.iter().map(|&b| clamped(b, 1 + b % 3, b % 3)).collect();
+            for prefs in [heavy, distinct] {
+                let solve = price_solve(&problem(prefs));
+                proptest::prop_assert!(solve.gap <= FW_EPS, "exit gap {}", solve.gap);
+                proptest::prop_assert!(solve.sweeps < FW_MAX_SWEEPS);
+            }
+        }
+    }
+
+    /// The unrounded root price bound in Σc² units (no prefix placed).
+    fn root_price_bound(prep: &Prep) -> f64 {
+        let scale = f64::from(1u32 << PRICE_SHIFT);
+        let lambda_sq: f64 = prep.lambda.iter().map(|&l| (l as f64) * (l as f64)).sum();
+        (prep.suffix_price[0] as f64) / scale - lambda_sq / (4.0 * scale * scale)
+    }
+
+    #[test]
+    fn rounded_prune_keeps_the_optimum_on_integer_tie_instances() {
+        // Instances whose *unrounded* price bound lies within one unit
+        // below the optimum Σc²: the rounded test prunes there at
+        // `bound > best − 1`, which must never cut the optimum off.
+        let mut rng = StdRng::seed_from_u64(0x7e5);
+        let mut ties = 0;
+        for _ in 0..400 {
+            let n = rng.random_range(2..=5);
+            let prefs: Vec<Preference> = (0..n)
+                .map(|_| {
+                    let v = rng.random_range(1u8..=3);
+                    let slack = rng.random_range(0u8..=3);
+                    clamped(rng.random_range(10u8..20), v, slack)
+                })
+                .collect();
+            let p = problem(prefs);
+            let brute = brute_force(&p).unwrap();
+            let optimum = unit_sum_of_squares(&unit_counts(&p, &brute.deferments));
+            let prep = BranchAndBound::new().prepare(&p).unwrap();
+            let bound = root_price_bound(&prep);
+            assert!(bound <= optimum as f64 + 1e-9, "price bound {bound} above {optimum}");
+            if bound > optimum as f64 - 1.0 && bound < optimum as f64 {
+                ties += 1;
+                let exact = BranchAndBound::new().solve(&p).unwrap();
+                assert!(exact.proven_optimal);
+                assert_eq!(
+                    exact.solution.objective.to_bits(),
+                    brute.objective.to_bits(),
+                    "rounded prune lost the optimum on {:?}",
+                    p.preferences()
+                );
+                // The local-search incumbent is usually optimal already;
+                // drive from one a single unit worse, where a prune that
+                // rounds too far would stop at the root.
+                let clock = MonotonicClock::new();
+                let mut search = prep.search(&clock, Duration::ZERO, u64::MAX, None);
+                search.best_sumsq = optimum + 1;
+                search.run_from(0);
+                assert_eq!(
+                    search.best_sumsq,
+                    optimum,
+                    "a one-unit-worse incumbent hid the optimum on {:?}",
+                    p.preferences()
+                );
+            }
+        }
+        assert!(ties >= 10, "only {ties} integer-tie instances drawn");
+    }
+
+    #[test]
+    fn price_test_envelope_straddles_2_28_against_a_u128_reference() {
+        // Σc² envelopes from 2^26 to 2^30 around DESIGN.md's old fixed
+        // 2^28 limit, with price and penalty bounds scaled the way real
+        // prices scale with load (Λ ≈ 2x·2^S). Wherever the envelope
+        // admits `u64`, the `u64` test must agree with the `u128`
+        // reference at and below every operand bound.
+        let mut rng = StdRng::seed_from_u64(28);
+        let (mut narrow, mut wide) = (0, 0);
+        for _ in 0..4000 {
+            let sumsq_max = u128::from(rng.random_range(1u64 << 26..=1u64 << 30));
+            let price_max = sumsq_max << rng.random_range(12u32..=18);
+            let penalty_max = sumsq_max << rng.random_range(30u32..=34);
+            let arith = PriceArith::for_envelope(sumsq_max, price_max, penalty_max);
+            let mut draw = |max: u128| -> u128 {
+                match rng.random_range(0..4) {
+                    0 => max,
+                    1 => 0,
+                    _ => {
+                        let bits = u128::from(rng.next_u64()) << 64 | u128::from(rng.next_u64());
+                        bits % (max + 1)
+                    }
+                }
+            };
+            let (price, sumsq, best, penalty) =
+                (draw(price_max), draw(sumsq_max), draw(sumsq_max), draw(penalty_max));
+            let reference = price_test::<u128>(price, sumsq, best, penalty);
+            match arith {
+                PriceArith::U64 => {
+                    narrow += 1;
+                    let narrowed = |v: u128| u64::try_from(v).expect("operand within u64");
+                    assert_eq!(
+                        price_test::<u64>(
+                            narrowed(price),
+                            narrowed(sumsq),
+                            narrowed(best),
+                            narrowed(penalty),
+                        ),
+                        reference,
+                        "u64 test diverged at price={price} sumsq={sumsq} best={best} \
+                         penalty={penalty}",
+                    );
+                }
+                PriceArith::U128 => wide += 1,
+                PriceArith::Off => unreachable!("for_envelope never turns the bound off"),
+            }
+        }
+        assert!(narrow > 100 && wide > 100, "narrow {narrow}, wide {wide}");
+    }
+
+    #[test]
+    fn price_test_width_follows_the_instance() {
+        // Day-sized neighbourhoods stay on the u64 path…
+        let small: Vec<Preference> =
+            (0..64u8).map(|i| clamped(8 + i % 11, 1 + i % 3, i % 5)).collect();
+        let prep = BranchAndBound::new().prepare(&problem(small)).unwrap();
+        assert_eq!(prep.price_arith, PriceArith::U64);
+        // …an envelope past u64 switches to u128 instead of dropping bits…
+        assert_eq!(
+            PriceArith::for_envelope(1 << 31, 1 << 40, 1 << 60),
+            PriceArith::U128
+        );
+        // …and prices whose tables overflow u64 turn the price bound off.
+        let p = problem(vec![pref(10, 14, 2); 3]);
+        let prep = BranchAndBound::new().prepare(&p).unwrap();
+        let huge = [u64::MAX / 2; HOURS_PER_DAY];
+        assert!(price_tables(&prep.eq, &prep.slots, &prep.class_size, &huge).is_none());
     }
 
     #[test]

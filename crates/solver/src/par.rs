@@ -61,7 +61,7 @@ use enki_core::Result;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-use crate::exact::{BranchAndBound, SolveReport};
+use crate::exact::{BranchAndBound, Prep, SolveReport};
 use crate::problem::{AllocationProblem, Solution};
 
 /// A subtree suspended at the split slot, in depth-first visit order:
@@ -97,13 +97,24 @@ pub(crate) struct SpecResult {
     pub(crate) bound_cache_hits: u64,
 }
 
-/// Wall-clock timings of the speculate-then-validate phases, reported
-/// only when [`BranchAndBound::with_profiling`] is on. Times are
-/// nondeterministic by nature — this struct is diagnostics, never part
-/// of the bit-identical solve contract.
+/// Wall-clock timings of a solve's phases, reported only when
+/// [`BranchAndBound::with_profiling`] is on: the three phases of
+/// preparation (incumbent, classes + tables, prices), the tree search,
+/// and — for the speculate-then-validate driver — the search's split
+/// into its three phases. Times are nondeterministic by nature — this
+/// struct is diagnostics, never part of the bit-identical solve
+/// contract.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PhaseProfile {
-    /// Sequential seed enumeration (phase 1).
+    /// Local-search incumbent with restarts.
+    pub incumbent_ns: u64,
+    /// Class grouping plus the per-slot, suffix, and incumbent tables.
+    pub tables_ns: u64,
+    /// Pairwise Frank–Wolfe price solve, price tables, and root bound.
+    pub prices_ns: u64,
+    /// Tree search (for the parallel driver: its three phases together).
+    pub search_ns: u64,
+    /// Sequential seed enumeration (phase 1; zero for a sequential solve).
     pub enumerate_ns: u64,
     /// Parallel speculative subtree runs (phase 2, wall time).
     pub speculate_ns: u64,
@@ -239,9 +250,13 @@ where
     )
 }
 
-/// Parallel [`BranchAndBound::solve`]: speculate across the work-stealing
-/// pool, then validate sequentially. See the [module docs](self) for why
-/// the result is bit-identical to the sequential solver's.
+/// Parallel [`BranchAndBound::solve`] over a preparation whose tree is
+/// wide enough to split at `split_slot` (a class boundary chosen in
+/// [`BranchAndBound::prepare`] independently of the thread count, so
+/// every drive prunes identically; a narrow tree runs the sequential
+/// walk instead): speculate across the work-stealing pool, then
+/// validate sequentially. See the [module docs](self) for why the
+/// result is bit-identical to the sequential solver's.
 ///
 /// # Errors
 ///
@@ -250,27 +265,13 @@ where
 pub(crate) fn solve_parallel(
     solver: &BranchAndBound,
     problem: &AllocationProblem,
+    prep: &Prep,
+    split_slot: usize,
+    start: std::time::Duration,
 ) -> Result<(SolveReport, ParStats)> {
     let threads = solver.threads();
     let clock = solver.clock_cfg().clone();
-    let start = clock.now();
-    let prep = solver.prepare(problem)?;
-
-    // The split slot is part of the preparation — a class boundary where
-    // the class-vector tree is wide enough to oversubscribe the pool,
-    // chosen independently of the thread count so every drive prunes
-    // identically. A narrow tree cannot pay for parallelism: run the
-    // sequential walk.
-    let Some(split_slot) = prep.split_slot else {
-        let report = solver.solve_sequential(problem)?;
-        return Ok((
-            report,
-            ParStats {
-                threads,
-                ..ParStats::default()
-            },
-        ));
-    };
+    let searching_at = clock.now();
 
     let profiling = solver.profiling_cfg();
     let node_limit = solver.node_limit_cfg();
@@ -335,12 +336,13 @@ pub(crate) fn solve_parallel(
     stats.revalidated = drive.revalidated_tasks;
     let validated_at = clock.now();
 
-    if profiling {
+    if let Some(prepared) = &prep.profile {
         let task_bound_ns: u64 = memo.values().map(|spec| spec.bound_ns).sum();
         let task_evals: u64 = memo.values().map(|spec| spec.bound_evals).sum();
         let task_hits: u64 = memo.values().map(|spec| spec.bound_cache_hits).sum();
         stats.profile = Some(PhaseProfile {
-            enumerate_ns: duration_ns(enumerated_at.saturating_sub(start)),
+            search_ns: duration_ns(validated_at.saturating_sub(searching_at)),
+            enumerate_ns: duration_ns(enumerated_at.saturating_sub(searching_at)),
             speculate_ns: duration_ns(speculated_at.saturating_sub(enumerated_at)),
             validate_ns: duration_ns(validated_at.saturating_sub(speculated_at)),
             bound_ns: enumerator
@@ -349,23 +351,13 @@ pub(crate) fn solve_parallel(
                 .saturating_add(drive.bound_ns),
             bound_evals: enumerator.bound_evals + task_evals + drive.bound_evals,
             bound_cache_hits: enumerator.bound_cache_hits + task_hits + drive.bound_cache_hits,
+            ..prepared.clone()
         });
     }
 
-    let proven_optimal = !drive.aborted;
-    let nodes = drive.nodes;
     let solution = Solution::from_deferments(problem, prep.eq.expand(&drive.best_chosen))?;
-    Ok((
-        SolveReport {
-            solution,
-            nodes,
-            elapsed: clock.now().saturating_sub(start),
-            proven_optimal,
-            initial_incumbent: prep.initial_incumbent,
-            root_bound: prep.root_bound,
-        },
-        stats,
-    ))
+    let report = prep.report(solution, &drive, clock.now().saturating_sub(start));
+    Ok((report, stats))
 }
 
 /// Nanoseconds of a duration, saturating (profiling only).

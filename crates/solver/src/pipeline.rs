@@ -234,8 +234,8 @@ impl AnytimePipeline {
         self.threads
     }
 
-    /// Enables per-phase profiling of the exact rung. The racing
-    /// portfolio then reports a [`PhaseProfile`](crate::par::PhaseProfile)
+    /// Enables per-phase profiling of the exact rung. The ladder (racing
+    /// or sequential) then reports a [`PhaseProfile`](crate::par::PhaseProfile)
     /// in its [`ParStats`](crate::par::ParStats) and records the phase
     /// timings on the `solve.exact` span. Off by default: the timings are
     /// wall-clock and scheduling-dependent, so they must never leak into
@@ -338,7 +338,8 @@ impl AnytimePipeline {
 
     /// [`solve_traced`](Self::solve_traced), additionally returning the
     /// parallel-run statistics (task, steal, and re-validation counters)
-    /// of the racing solve. With one thread the statistics are those of
+    /// of the racing solve, plus the exact rung's phase timings when
+    /// profiling. With one thread the counters are those of
     /// [`ParStats::sequential`](crate::par::ParStats::sequential). The
     /// counters are scheduling-dependent, which is why they live here and
     /// not in the byte-reproducible [`SolveOutcome`] or the telemetry
@@ -410,7 +411,6 @@ impl AnytimePipeline {
             return self.run_racing(problem, recorder);
         }
         self.run_sequential_ladder(problem, recorder)
-            .map(|outcome| (outcome, crate::par::ParStats::sequential()))
     }
 
     /// The original one-rung-after-another ladder (thread budget 1).
@@ -418,7 +418,7 @@ impl AnytimePipeline {
         &self,
         problem: &AllocationProblem,
         recorder: Option<&Recorder>,
-    ) -> Result<SolveOutcome> {
+    ) -> Result<(SolveOutcome, crate::par::ParStats)> {
         // Cheap root bound, valid for whatever rung ends up answering.
         // Falls back to the trivial bound 0 if the computation panics.
         let root_bound = run_contained(|| Ok(root_bound(problem)))
@@ -432,6 +432,7 @@ impl AnytimePipeline {
 
         // Rung 1: exact branch-and-bound.
         let mut proven = false;
+        let mut stats = crate::par::ParStats::sequential();
         if self.exact_enabled {
             let mut span = recorder.map(|r| r.span("solve.exact"));
             let started = self.clock.now();
@@ -441,7 +442,7 @@ impl AnytimePipeline {
                 .with_seed(self.seed)
                 .with_clock(Arc::clone(&self.clock))
                 .with_profiling(self.profiling);
-            let run = self.stage(Rung::Exact, || solver.solve(problem));
+            let run = self.stage(Rung::Exact, || solver.solve_with_stats(problem));
             let elapsed = self.clock.now().saturating_sub(started);
             if let Some(s) = span.as_mut() {
                 // Slack left on the stage deadline; negative means the
@@ -451,17 +452,16 @@ impl AnytimePipeline {
                 s.record("deadline_slack_ns", limit.saturating_sub(spent));
             }
             match run {
-                Ok(Some(report)) => {
+                Ok(Some((report, exact_stats))) => {
                     proven = report.proven_optimal;
+                    stats.profile = exact_stats.profile;
                     if let Some(s) = span.as_mut() {
                         s.record("status", stage_status_key(if proven {
                             StageStatus::Solved
                         } else {
                             StageStatus::BudgetExhausted
                         }));
-                        s.record("nodes", report.nodes);
-                        s.record("objective", report.solution.objective);
-                        s.record("certified_gap", report.certified_gap());
+                        record_exact(s, &report, stats.profile.as_ref());
                     }
                     stages.push(StageReport {
                         rung: Rung::Exact,
@@ -501,13 +501,16 @@ impl AnytimePipeline {
             let Some((solution, rung)) = best else {
                 return Err(Error::SolveFailed { stage: "exact" });
             };
-            return Ok(SolveOutcome {
-                solution,
-                rung,
-                proven_optimal: true,
-                root_bound,
-                stages,
-            });
+            return Ok((
+                SolveOutcome {
+                    solution,
+                    rung,
+                    proven_optimal: true,
+                    root_bound,
+                    stages,
+                },
+                stats,
+            ));
         }
 
         // Rung 2: local search, warm started from the exact incumbent.
@@ -567,6 +570,7 @@ impl AnytimePipeline {
         }
 
         self.finish_ladder(problem, recorder, root_bound, stages, best, answered)
+            .map(|outcome| (outcome, stats))
     }
 
     /// Races the exact and local-search rungs on the work-stealing pool
@@ -670,21 +674,7 @@ impl AnytimePipeline {
                     };
                     if let Some(s) = span.as_mut() {
                         s.record("status", stage_status_key(status));
-                        s.record("nodes", report.nodes);
-                        s.record("objective", report.solution.objective);
-                        s.record("certified_gap", report.certified_gap());
-                        // Phase timings are wall-clock and scheduling-
-                        // dependent; they only reach the trace when the
-                        // caller opted into profiling, which forfeits
-                        // byte-reproducibility of this span.
-                        if let Some(profile) = &stats.profile {
-                            s.record("profile.enumerate_ns", profile.enumerate_ns);
-                            s.record("profile.speculate_ns", profile.speculate_ns);
-                            s.record("profile.validate_ns", profile.validate_ns);
-                            s.record("profile.bound_ns", profile.bound_ns);
-                            s.record("profile.bound_evals", profile.bound_evals);
-                            s.record("profile.bound_cache_hits", profile.bound_cache_hits);
-                        }
+                        record_exact(s, &report, stats.profile.as_ref());
                     }
                     stages.push(StageReport {
                         rung: Rung::Exact,
@@ -968,6 +958,33 @@ fn run_contained<T>(body: impl FnOnce() -> Result<T>) -> Result<Option<T>> {
     }
 }
 
+/// Records an exact stage's outcome on its `solve.exact` span: the
+/// deterministic counters always, the phase timings only when the caller
+/// opted into profiling (they are wall-clock and scheduling-dependent,
+/// which forfeits byte-reproducibility of this span).
+fn record_exact(
+    span: &mut enki_telemetry::SpanGuard<'_>,
+    report: &crate::exact::SolveReport,
+    profile: Option<&crate::par::PhaseProfile>,
+) {
+    span.record("nodes", report.nodes);
+    span.record("price_sweeps", u64::from(report.price_sweeps));
+    span.record("objective", report.solution.objective);
+    span.record("certified_gap", report.certified_gap());
+    if let Some(profile) = profile {
+        span.record("profile.incumbent_ns", profile.incumbent_ns);
+        span.record("profile.tables_ns", profile.tables_ns);
+        span.record("profile.prices_ns", profile.prices_ns);
+        span.record("profile.search_ns", profile.search_ns);
+        span.record("profile.enumerate_ns", profile.enumerate_ns);
+        span.record("profile.speculate_ns", profile.speculate_ns);
+        span.record("profile.validate_ns", profile.validate_ns);
+        span.record("profile.bound_ns", profile.bound_ns);
+        span.record("profile.bound_evals", profile.bound_evals);
+        span.record("profile.bound_cache_hits", profile.bound_cache_hits);
+    }
+}
+
 /// Stable snake_case identifier recorded in stage span `status` fields.
 fn stage_status_key(status: StageStatus) -> &'static str {
     match status {
@@ -1189,6 +1206,7 @@ mod tests {
         let exact = spans.iter().find(|s| s.name == "solve.exact").unwrap();
         assert_eq!(exact.parent, Some(solve.id));
         assert!(exact.field("nodes").is_some());
+        assert!(exact.field("price_sweeps").is_some());
         assert!(exact.field("deadline_slack_ns").is_some());
         assert_eq!(telemetry.counter("solve.rung.exact"), Some(1));
         assert_eq!(telemetry.counter("solve.degraded"), None);
@@ -1448,6 +1466,14 @@ mod tests {
             let profile = stats.profile.expect("profiling was enabled");
             assert!(profile.bound_evals + profile.bound_cache_hits > 0);
         }
+        // The sequential ladder reports the exact rung's phase profile
+        // too, so a one-thread run shows where its preparation went.
+        let (_, sequential) = AnytimePipeline::new()
+            .with_profiling(true)
+            .solve_traced_with_stats(&p, None)
+            .unwrap();
+        let profile = sequential.profile.expect("profiling was enabled");
+        assert_eq!(profile.enumerate_ns, 0, "no speculative driver on one thread");
     }
 
     #[test]
